@@ -20,20 +20,18 @@ using krr::KrrStack;
 using krr::KrrStackConfig;
 using krr::UpdateStrategy;
 
-// Pre-generates a Zipfian key stream over `items` keys, then measures the
-// steady-state access cost of the KRR stack.
-void run_stack_update(benchmark::State& state, UpdateStrategy strategy) {
-  const auto items = static_cast<std::uint64_t>(state.range(0));
-  const double k = static_cast<double>(state.range(1));
-
-  krr::ZipfianGenerator gen(items, 0.8, /*seed=*/42, /*scrambled=*/true);
+// A pre-generated scrambled Zipfian key stream over `items` keys.
+std::vector<std::uint64_t> zipf_keys(std::uint64_t items, double alpha, int count) {
+  krr::ZipfianGenerator gen(items, alpha, /*seed=*/42, /*scrambled=*/true);
   std::vector<std::uint64_t> keys;
-  keys.reserve(1 << 16);
-  for (int i = 0; i < (1 << 16); ++i) keys.push_back(gen.next().key);
+  keys.reserve(count);
+  for (int i = 0; i < count; ++i) keys.push_back(gen.next().key);
+  return keys;
+}
 
-  KrrStackConfig cfg;
-  cfg.k = k;
-  cfg.strategy = strategy;
+// Measures the steady-state access cost of a KRR stack cycling over `keys`.
+void run_stack(benchmark::State& state, KrrStackConfig cfg,
+               const std::vector<std::uint64_t>& keys) {
   cfg.seed = 7;
   KrrStack stack(cfg);
   // Warm the stack so accesses hit realistic depths.
@@ -45,6 +43,14 @@ void run_stack_update(benchmark::State& state, UpdateStrategy strategy) {
     if (++i == keys.size()) i = 0;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+// Args: {distinct items M, KRR exponent K} over a Zipf(0.8) stream.
+void run_stack_update(benchmark::State& state, UpdateStrategy strategy) {
+  KrrStackConfig cfg;
+  cfg.k = static_cast<double>(state.range(1));
+  cfg.strategy = strategy;
+  run_stack(state, cfg, zipf_keys(static_cast<std::uint64_t>(state.range(0)), 0.8, 1 << 16));
 }
 
 void BM_Linear(benchmark::State& state) {
@@ -69,6 +75,17 @@ BENCHMARK(BM_Backward)
     ->Args({1 << 14, 5})
     ->Args({1 << 16, 5})
     ->Args({1 << 16, 32});
+
+// The perfbench hot_stack shape: a 100k-key scrambled Zipf(0.9) stream at
+// R = 1 with the corrected K' = 5^1.4 and the backward strategy, where the
+// swap sampler and the stack rotation are nearly all of the time.
+void BM_HotStack(benchmark::State& state) {
+  KrrStackConfig cfg;
+  cfg.k = krr::corrected_k(5.0);
+  cfg.strategy = UpdateStrategy::kBackward;
+  run_stack(state, cfg, zipf_keys(100000, 0.9, 1 << 18));
+}
+BENCHMARK(BM_HotStack);
 
 // Simulator per-access cost: the constant the "Simulation" row of
 // Table 5.3 pays per request per cache size.

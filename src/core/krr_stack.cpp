@@ -1,5 +1,6 @@
 #include "core/krr_stack.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -31,16 +32,24 @@ std::uint64_t KrrStack::total_bytes() const noexcept {
   return size_array_ ? size_array_->total_bytes() : stack_.size();
 }
 
+std::vector<std::uint64_t> KrrStack::keys() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(stack_.size());
+  for (const Entry* entry : stack_) out.push_back(entry->first);
+  return out;
+}
+
 std::uint64_t KrrStack::retain(const std::function<bool(std::uint64_t)>& keep) {
   std::size_t write = 0;
   for (std::size_t read = 0; read < stack_.size(); ++read) {
-    if (!keep(stack_[read])) {
-      position_.erase(stack_[read]);
+    Entry* entry = stack_[read];
+    if (!keep(entry->first)) {
+      position_.erase(entry->first);
       continue;
     }
-    stack_[write] = stack_[read];
+    entry->second = write;
+    stack_[write] = entry;
     sizes_[write] = sizes_[read];
-    position_[stack_[write]] = write;
     ++write;
   }
   const std::uint64_t evicted = stack_.size() - write;
@@ -68,7 +77,7 @@ std::uint64_t KrrStack::retain(const std::function<bool(std::uint64_t)>& keep) {
 void KrrStack::save_state(std::string& out) const {
   ckpt::append_u64(out, stack_.size());
   for (std::size_t i = 0; i < stack_.size(); ++i) {
-    ckpt::append_u64(out, stack_[i]);
+    ckpt::append_u64(out, stack_[i]->first);
     ckpt::append_u32(out, sizes_[i]);
   }
   ckpt::append_u64(out, swaps_performed_);
@@ -95,8 +104,9 @@ bool KrrStack::load_state(ckpt::ByteReader& reader) {
     std::uint32_t size = 0;
     if (!reader.read_u64(&key) || !reader.read_u32(&size)) return false;
     // Duplicate keys would desynchronize the position index.
-    if (!position_.emplace(key, stack_.size()).second) return false;
-    stack_.push_back(key);
+    const auto [it, inserted] = position_.emplace(key, stack_.size());
+    if (!inserted) return false;
+    stack_.push_back(&*it);
     sizes_.push_back(size);
   }
   if (!reader.read_u64(&swaps_performed_)) return false;
@@ -158,29 +168,41 @@ KrrStack::AccessResult KrrStack::access_instrumented(std::uint64_t key,
 }
 #endif
 
+void KrrStack::sample_chain_descending(std::uint64_t phi) {
+  chain_.clear();
+  if (config_.strategy != UpdateStrategy::kBackward) {
+    sampler_.sample(phi, rng_, chain_);
+    std::reverse(chain_.begin(), chain_.end());
+    return;
+  }
+  // Each slot is prefetched as the walk names it, so the rotation that
+  // follows finds the chain's slots in cache.
+  chain_.push_back(phi);
+  sampler_.walk_backward(phi, rng_, [this](std::uint64_t x) {
+    __builtin_prefetch(&stack_[x - 1], 1);
+    __builtin_prefetch(&sizes_[x - 1], 1);
+    chain_.push_back(x);
+  });
+}
+
 KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t size) {
   AccessResult result{};
-  std::uint64_t phi;
-  auto it = position_.find(key);
-  if (it == position_.end()) {
+  const auto [it, cold] = position_.try_emplace(key, stack_.size());
+  Entry* const entry = &*it;
+  const std::uint64_t phi = entry->second + 1;
+  result.cold = cold;
+  if (cold) {
     // Cold reference: attach at the stack end before the update, so the
     // rotation carries it to the top like any other reference (Alg. 1).
-    stack_.push_back(key);
+    stack_.push_back(entry);
     sizes_.push_back(size);
-    position_.emplace(key, stack_.size() - 1);
-    phi = stack_.size();
-    result.cold = true;
     if (size_array_) size_array_->on_append(size, phi);
     if (exact_bytes_) exact_bytes_->on_append(size, phi);
-  } else {
-    phi = it->second + 1;
-    result.cold = false;
-    if (sizes_[it->second] != size) {
-      // A set with a new value size: resize in place before measuring.
-      if (size_array_) size_array_->on_resize(phi, sizes_[it->second], size);
-      if (exact_bytes_) exact_bytes_->on_resize(phi, sizes_[it->second], size);
-      sizes_[it->second] = size;
-    }
+  } else if (sizes_[phi - 1] != size) {
+    // A set with a new value size: resize in place before measuring.
+    if (size_array_) size_array_->on_resize(phi, sizes_[phi - 1], size);
+    if (exact_bytes_) exact_bytes_->on_resize(phi, sizes_[phi - 1], size);
+    sizes_[phi - 1] = size;
   }
   result.position = phi;
   if (size_array_) result.byte_distance = size_array_->byte_distance(phi);
@@ -188,23 +210,31 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
     last_exact_byte_distance_ = exact_bytes_->byte_distance(phi);
   }
 
-  // Sample the swap chain and rotate: resident of chain[j] moves to
-  // chain[j+1]; the referenced object lands on top.
-  sampler_.sample(phi, rng_, chain_);
+  // Sample the swap chain and rotate: resident of chain[j+1] moves to
+  // chain[j] (the chain runs bottom-up); the referenced object lands on top.
+  sample_chain_descending(phi);
   swaps_performed_ += chain_.size();
   if (phi == 1) return result;
-  if (size_array_) size_array_->on_rotate(chain_, sizes_, size);
-  if (exact_bytes_) exact_bytes_->on_rotate(chain_, sizes_, size);
-  for (std::size_t j = chain_.size(); j-- > 1;) {
-    const std::uint64_t dst = chain_[j] - 1;
-    const std::uint64_t src = chain_[j - 1] - 1;
-    stack_[dst] = stack_[src];
-    sizes_[dst] = sizes_[src];
-    position_[stack_[dst]] = dst;
+  if (size_array_ || exact_bytes_) {
+    ascending_.assign(chain_.rbegin(), chain_.rend());
+    if (size_array_) size_array_->on_rotate(ascending_, sizes_, size);
+    if (exact_bytes_) exact_bytes_->on_rotate(ascending_, sizes_, size);
   }
-  stack_[0] = key;
+  // Each move writes the moved key's index entry through its handle; the
+  // entry two moves ahead is prefetched (its slot is already in cache).
+  const std::size_t n = chain_.size();
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    if (j + 2 < n) __builtin_prefetch(stack_[chain_[j + 2] - 1], 1);
+    const std::uint64_t dst = chain_[j] - 1;
+    const std::uint64_t src = chain_[j + 1] - 1;
+    Entry* const moved = stack_[src];
+    stack_[dst] = moved;
+    sizes_[dst] = sizes_[src];
+    moved->second = dst;
+  }
+  stack_[0] = entry;
   sizes_[0] = size;
-  position_[key] = 0;
+  entry->second = 0;
   return result;
 }
 

@@ -47,9 +47,10 @@ double corrected_k(double k_sample);
 
 /// The KRR probabilistic stack (§4.1): a Mattson stack whose maxPriority
 /// function keeps the resident of position i with probability ((i-1)/i)^K.
-/// The stack is a flat array plus a key -> position hash (§4.4), updated by
-/// rotating the sampled swap chain, so one access costs O(K log M) expected
-/// with the backward strategy.
+/// The stack is a key -> position hash (§4.4) plus a flat array of handles
+/// to that hash's entries, updated by rotating the sampled swap chain, so
+/// one access costs O(K log M) expected with the backward strategy and one
+/// hash lookup: a rotation rewrites positions through the handles.
 class KrrStack {
  public:
   struct AccessResult {
@@ -61,6 +62,13 @@ class KrrStack {
   };
 
   explicit KrrStack(const KrrStackConfig& config);
+
+  // Stack slots point into the stack's own position index, so a copy
+  // would alias the original; moving keeps every handle valid.
+  KrrStack(const KrrStack&) = delete;
+  KrrStack& operator=(const KrrStack&) = delete;
+  KrrStack(KrrStack&&) = default;
+  KrrStack& operator=(KrrStack&&) = default;
 
   /// Processes one reference and reports its stack distance(s). `size` is
   /// ignored unless byte tracking is on; a resident object whose size
@@ -102,10 +110,13 @@ class KrrStack {
   const KrrStackConfig& config() const noexcept { return config_; }
 
   /// Key at stack position (1-based); test/diagnostic helper.
-  std::uint64_t key_at(std::uint64_t position) const { return stack_.at(position - 1); }
+  std::uint64_t key_at(std::uint64_t position) const {
+    return stack_.at(position - 1)->first;
+  }
 
-  /// Keys from top to bottom; test/diagnostic helper.
-  const std::vector<std::uint64_t>& stack() const noexcept { return stack_; }
+  /// Keys from top to bottom, copied out of the stack (a fresh vector per
+  /// call); test/diagnostic helper.
+  std::vector<std::uint64_t> keys() const;
 
   /// Checkpoint support: appends the complete stack state (keys, sizes,
   /// PRNG stream, swap count) to `out` in the ckpt byte format.
@@ -118,7 +129,14 @@ class KrrStack {
   bool load_state(ckpt::ByteReader& reader);
 
  private:
+  using PositionIndex = std::unordered_map<std::uint64_t, std::uint64_t>;
+  /// A stack slot: the key's node in position_ (stable across rehashes).
+  using Entry = PositionIndex::value_type;
+
   AccessResult access_impl(std::uint64_t key, std::uint32_t size);
+  /// Fills chain_ with the swap chain for distance phi, descending:
+  /// chain_.front() == phi, chain_.back() == 1.
+  void sample_chain_descending(std::uint64_t phi);
 #ifdef KRR_METRICS_ENABLED
   AccessResult access_instrumented(std::uint64_t key, std::uint32_t size);
 #endif
@@ -126,10 +144,11 @@ class KrrStack {
   KrrStackConfig config_;
   SwapSampler sampler_;
   Xoshiro256ss rng_;
-  std::vector<std::uint64_t> stack_;   // keys; index 0 = stack top
+  PositionIndex position_;             // key -> index into stack_
+  std::vector<Entry*> stack_;          // index 0 = stack top
   std::vector<std::uint32_t> sizes_;   // aligned with stack_
-  std::unordered_map<std::uint64_t, std::uint64_t> position_;  // key -> index
   std::vector<std::uint64_t> chain_;   // reused swap-chain buffer
+  std::vector<std::uint64_t> ascending_;  // chain_ reversed, for byte trackers
   std::unique_ptr<SizeArray> size_array_;
   std::unique_ptr<ExactByteTracker> exact_bytes_;
   std::optional<std::uint64_t> last_exact_byte_distance_;

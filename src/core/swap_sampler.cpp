@@ -28,8 +28,25 @@ std::string to_string(SamplingModel model) {
   return "unknown";
 }
 
+TableRoot::TableRoot(double inv_k) {
+  for (std::size_t e = 0; e < exp_.size(); ++e) {
+    // pow() of the exact power of two, so the entry carries one rounding
+    // instead of inv_k's error scaled by e.
+    exp_[e] = std::pow(std::ldexp(1.0, -static_cast<int>(e)), inv_k);
+  }
+  for (std::size_t j = 0; j < root_mid_.size(); ++j) {
+    const double mid = 1.0 + (static_cast<double>(j) + 0.5) / 256.0;
+    root_mid_[j] = std::pow(mid, inv_k);
+    inv_mid_[j] = 1.0 / mid;
+  }
+  c1_ = inv_k;
+  c2_ = c1_ * (inv_k - 1.0) / 2.0;
+  c3_ = c2_ * (inv_k - 2.0) / 3.0;
+  c4_ = c3_ * (inv_k - 3.0) / 4.0;
+}
+
 SwapSampler::SwapSampler(UpdateStrategy strategy, double k, SamplingModel model)
-    : strategy_(strategy), model_(model), k_(k), inv_k_(1.0 / k) {
+    : strategy_(strategy), model_(model), k_(k), inv_k_(1.0 / k), root_(inv_k_) {
   if (!(k >= 1.0)) throw std::invalid_argument("KRR exponent must be >= 1");
 }
 
@@ -150,7 +167,7 @@ void SwapSampler::sample_top_down(std::uint64_t phi, Xoshiro256ss& rng,
   out.push_back(phi);
 }
 
-std::uint64_t SwapSampler::previous_swap(std::uint64_t i, double r) const {
+std::uint64_t SwapSampler::exact_previous_swap(std::uint64_t i, double r) const {
   if (model_ == SamplingModel::kPlacingBack) {
     // Closed-form inverse: P(X <= x) = (x/(i-1))^K.
     const double scaled = std::pow(r, inv_k_) * static_cast<double>(i - 1);
@@ -180,13 +197,7 @@ void SwapSampler::sample_backward(std::uint64_t phi, Xoshiro256ss& rng,
   // is the largest swap among [1, i-1], drawn through the inverse CDF of
   // P(X <= x) = no_swap(x+1, i-1) with r in (0, 1].
   out.push_back(phi);
-  std::uint64_t i = phi;
-  while (i > 1) {
-    const double r = rng.next_double_open0();
-    const std::uint64_t x = previous_swap(i, r);
-    out.push_back(x);
-    i = x;
-  }
+  walk_backward(phi, rng, [&out](std::uint64_t x) { out.push_back(x); });
   std::reverse(out.begin(), out.end());
 }
 

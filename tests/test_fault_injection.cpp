@@ -338,7 +338,7 @@ TEST(GracefulDegradation, RetainPreservesStackOrder) {
   cfg.track_bytes = true;
   KrrStack stack(cfg);
   for (std::uint64_t key = 0; key < 200; ++key) stack.access(key, 10);
-  const auto before = stack.stack();
+  const std::vector<std::uint64_t> before = stack.keys();
   const std::uint64_t evicted = stack.retain(
       [](std::uint64_t key) { return key % 2 == 0; });
   EXPECT_EQ(evicted + stack.depth(), before.size());
@@ -347,7 +347,7 @@ TEST(GracefulDegradation, RetainPreservesStackOrder) {
   for (const std::uint64_t key : before) {
     if (key % 2 == 0) expected.push_back(key);
   }
-  EXPECT_EQ(stack.stack(), expected);
+  EXPECT_EQ(stack.keys(), expected);
   EXPECT_EQ(stack.total_bytes(), 10u * expected.size());
   // The stack keeps working after compaction.
   for (std::uint64_t key = 0; key < 200; ++key) stack.access(key, 10);
