@@ -32,6 +32,11 @@ struct AccuracyCase {
   double tolerance;  // MAE bound
 };
 
+// Print a case by its name. gtest's default byte dump would put the string's
+// heap address into the listed test names, so they would change from build
+// to build.
+void PrintTo(const AccuracyCase& c, std::ostream* os) { *os << c.name; }
+
 class KrrAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
 
 TEST_P(KrrAccuracy, MaeAgainstSimulatedKLruIsSmall) {
