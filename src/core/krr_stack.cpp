@@ -49,13 +49,13 @@ std::uint64_t KrrStack::retain(const std::function<bool(std::uint64_t)>& keep) {
     }
     entry->second = write;
     stack_[write] = entry;
-    sizes_[write] = sizes_[read];
+    if (size_array_) sizes_[write] = sizes_[read];
     ++write;
   }
   const std::uint64_t evicted = stack_.size() - write;
   if (evicted == 0) return 0;
   stack_.resize(write);
-  sizes_.resize(write);
+  if (size_array_) sizes_.resize(write);
   // The byte trackers are prefix structures over stack positions; rebuild
   // them by replaying the compacted stack as appends (top first).
   if (size_array_) {
@@ -75,10 +75,12 @@ std::uint64_t KrrStack::retain(const std::function<bool(std::uint64_t)>& keep) {
 }
 
 void KrrStack::save_state(std::string& out) const {
+  // Without byte tracking every object is one unit, the size the profiler
+  // passes on every access, so the format keeps a size field of 1.
   ckpt::append_u64(out, stack_.size());
   for (std::size_t i = 0; i < stack_.size(); ++i) {
     ckpt::append_u64(out, stack_[i]->first);
-    ckpt::append_u32(out, sizes_[i]);
+    ckpt::append_u32(out, size_array_ ? sizes_[i] : 1);
   }
   ckpt::append_u64(out, swaps_performed_);
   std::uint64_t rng_state[4];
@@ -97,7 +99,7 @@ bool KrrStack::load_state(ckpt::ByteReader& reader) {
   // a corrupt length field, not a real stack.
   if (depth > reader.remaining() / 12) return false;
   stack_.reserve(depth);
-  sizes_.reserve(depth);
+  if (size_array_) sizes_.reserve(depth);
   position_.reserve(depth);
   for (std::uint64_t i = 0; i < depth; ++i) {
     std::uint64_t key = 0;
@@ -107,7 +109,7 @@ bool KrrStack::load_state(ckpt::ByteReader& reader) {
     const auto [it, inserted] = position_.emplace(key, stack_.size());
     if (!inserted) return false;
     stack_.push_back(&*it);
-    sizes_.push_back(size);
+    if (size_array_) sizes_.push_back(size);
   }
   if (!reader.read_u64(&swaps_performed_)) return false;
   std::uint64_t rng_state[4];
@@ -178,9 +180,10 @@ void KrrStack::sample_chain_descending(std::uint64_t phi) {
   // Each slot is prefetched as the walk names it, so the rotation that
   // follows finds the chain's slots in cache.
   chain_.push_back(phi);
-  sampler_.walk_backward(phi, rng_, [this](std::uint64_t x) {
+  const bool track_sizes = size_array_ != nullptr;
+  sampler_.walk_backward(phi, rng_, [this, track_sizes](std::uint64_t x) {
     __builtin_prefetch(&stack_[x - 1], 1);
-    __builtin_prefetch(&sizes_[x - 1], 1);
+    if (track_sizes) __builtin_prefetch(&sizes_[x - 1], 1);
     chain_.push_back(x);
   });
 }
@@ -195,12 +198,14 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
     // Cold reference: attach at the stack end before the update, so the
     // rotation carries it to the top like any other reference (Alg. 1).
     stack_.push_back(entry);
-    sizes_.push_back(size);
-    if (size_array_) size_array_->on_append(size, phi);
+    if (size_array_) {
+      sizes_.push_back(size);
+      size_array_->on_append(size, phi);
+    }
     if (exact_bytes_) exact_bytes_->on_append(size, phi);
-  } else if (sizes_[phi - 1] != size) {
+  } else if (size_array_ && sizes_[phi - 1] != size) {
     // A set with a new value size: resize in place before measuring.
-    if (size_array_) size_array_->on_resize(phi, sizes_[phi - 1], size);
+    size_array_->on_resize(phi, sizes_[phi - 1], size);
     if (exact_bytes_) exact_bytes_->on_resize(phi, sizes_[phi - 1], size);
     sizes_[phi - 1] = size;
   }
@@ -215,10 +220,16 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
   sample_chain_descending(phi);
   swaps_performed_ += chain_.size();
   if (phi == 1) return result;
-  if (size_array_ || exact_bytes_) {
+  if (size_array_) {
+    // The trackers read the pre-rotation sizes, then the sizes follow
+    // their objects down the chain.
     ascending_.assign(chain_.rbegin(), chain_.rend());
-    if (size_array_) size_array_->on_rotate(ascending_, sizes_, size);
+    size_array_->on_rotate(ascending_, sizes_, size);
     if (exact_bytes_) exact_bytes_->on_rotate(ascending_, sizes_, size);
+    for (std::size_t j = 0; j + 1 < chain_.size(); ++j) {
+      sizes_[chain_[j] - 1] = sizes_[chain_[j + 1] - 1];
+    }
+    sizes_[0] = size;
   }
   // Each move writes the moved key's index entry through its handle; the
   // entry two moves ahead is prefetched (its slot is already in cache).
@@ -229,11 +240,9 @@ KrrStack::AccessResult KrrStack::access_impl(std::uint64_t key, std::uint32_t si
     const std::uint64_t src = chain_[j + 1] - 1;
     Entry* const moved = stack_[src];
     stack_[dst] = moved;
-    sizes_[dst] = sizes_[src];
     moved->second = dst;
   }
   stack_[0] = entry;
-  sizes_[0] = size;
   entry->second = 0;
   return result;
 }

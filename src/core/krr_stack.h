@@ -119,7 +119,8 @@ class KrrStack {
   std::vector<std::uint64_t> keys() const;
 
   /// Checkpoint support: appends the complete stack state (keys, sizes,
-  /// PRNG stream, swap count) to `out` in the ckpt byte format.
+  /// PRNG stream, swap count) to `out` in the ckpt byte format. Sizes are
+  /// kept only with byte tracking; without it every size is written as 1.
   void save_state(std::string& out) const;
 
   /// Restores state written by save_state() into a stack built from the
@@ -146,7 +147,7 @@ class KrrStack {
   Xoshiro256ss rng_;
   PositionIndex position_;             // key -> index into stack_
   std::vector<Entry*> stack_;          // index 0 = stack top
-  std::vector<std::uint32_t> sizes_;   // aligned with stack_
+  std::vector<std::uint32_t> sizes_;   // aligned with stack_; byte tracking only
   std::vector<std::uint64_t> chain_;   // reused swap-chain buffer
   std::vector<std::uint64_t> ascending_;  // chain_ reversed, for byte trackers
   std::unique_ptr<SizeArray> size_array_;

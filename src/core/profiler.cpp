@@ -33,6 +33,7 @@ KrrProfiler::KrrProfiler(const KrrProfilerConfig& config)
 
 void KrrProfiler::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
 #ifdef KRR_METRICS_ENABLED
+  publish_counters();
   metrics_ = metrics;
   stack_.attach_metrics(metrics != nullptr ? &metrics->stack : nullptr);
 #else
@@ -40,9 +41,24 @@ void KrrProfiler::attach_metrics(obs::PipelineMetrics* metrics) noexcept {
 #endif
 }
 
+void KrrProfiler::publish_counters() const noexcept {
+#ifdef KRR_METRICS_ENABLED
+  if (metrics_ != nullptr) {
+    const std::uint64_t processed = processed_ - published_processed_;
+    const std::uint64_t passed = sampled_ - published_sampled_;
+    metrics_->accesses->inc(processed);
+    metrics_->filter_passed->inc(passed);
+    metrics_->filter_dropped->inc(processed - passed);
+  }
+  published_processed_ = processed_;
+  published_sampled_ = sampled_;
+#endif
+}
+
 void KrrProfiler::refresh_metrics_gauges() const noexcept {
 #ifdef KRR_METRICS_ENABLED
   if (metrics_ == nullptr) return;
+  publish_counters();
   metrics_->stack_depth->set(static_cast<double>(stack_.depth()));
   metrics_->resident_bytes->set(static_cast<double>(space_overhead_bytes()));
   metrics_->sampling_rate->set(filter_.rate());
@@ -50,24 +66,8 @@ void KrrProfiler::refresh_metrics_gauges() const noexcept {
 #endif
 }
 
-void KrrProfiler::access(const Request& req) {
-  ++processed_;
-  if (!filter_.sampled(req.key)) {
-#ifdef KRR_METRICS_ENABLED
-    if (metrics_ != nullptr) {
-      metrics_->accesses->inc();
-      metrics_->filter_dropped->inc();
-    }
-#endif
-    return;
-  }
+void KrrProfiler::access_sampled(const Request& req) {
   ++sampled_;
-#ifdef KRR_METRICS_ENABLED
-  if (metrics_ != nullptr) {
-    metrics_->accesses->inc();
-    metrics_->filter_passed->inc();
-  }
-#endif
   const auto result = stack_.access(req.key, config_.byte_granularity ? req.size : 1);
   if (result.cold) {
     histogram_.record_infinite();
@@ -172,6 +172,18 @@ Status KrrProfiler::save_state(std::string* out) const {
 }
 
 Status KrrProfiler::load_state(const std::string& payload) {
+  // References processed before the restore are published; the restored
+  // counts were processed by another run, so they only become the baseline.
+  publish_counters();
+  Status status = restore_state(payload);
+#ifdef KRR_METRICS_ENABLED
+  published_processed_ = processed_;
+  published_sampled_ = sampled_;
+#endif
+  return status;
+}
+
+Status KrrProfiler::restore_state(const std::string& payload) {
   ckpt::ByteReader reader(payload);
   std::uint64_t filter_modulus = 0, filter_threshold = 0, filter_halvings = 0;
   std::uint64_t bin_count = 0;

@@ -118,8 +118,13 @@ class KrrProfiler {
  public:
   explicit KrrProfiler(const KrrProfilerConfig& config);
 
-  /// Processes one reference (spatial filtering applied internally).
-  void access(const Request& req);
+  /// Processes one reference (spatial filtering applied internally). At
+  /// the paper's online rates almost every reference is rejected by the
+  /// filter, so that path stays inline; the rest go to access_sampled().
+  void access(const Request& req) {
+    ++processed_;
+    if (filter_.sampled(req.key)) access_sampled(req);
+  }
 
   /// The predicted K-LRU miss ratio curve. Cache sizes are object counts
   /// (uni-KRR) or bytes (var-KRR); with spatial sampling, distances have
@@ -174,21 +179,32 @@ class KrrProfiler {
 
   const KrrProfilerConfig& config() const noexcept { return config_; }
 
-  /// Attaches hot-path instrumentation (and the stack's, see
-  /// KrrStack::attach_metrics): per-access counters for filter pass/drop,
+  /// Attaches instrumentation (and the stack's, see
+  /// KrrStack::attach_metrics): reference counters for filter pass/drop,
   /// degradations, and the stack update histograms. The metrics must
-  /// outlive the profiler; nullptr detaches. No-op (and truly zero-cost on
-  /// the access path) when the KRR_METRICS option is compiled out.
+  /// outlive the profiler; nullptr detaches. Counts not yet published to
+  /// a previously attached registry are published there first. No-op
+  /// (and truly zero-cost on the access path) when the KRR_METRICS option
+  /// is compiled out.
   void attach_metrics(obs::PipelineMetrics* metrics) noexcept;
 
   /// Pushes the instantaneous state into the attached metrics' gauges
-  /// (stack.depth, stack.resident_bytes, filter.rate, histogram.bins).
-  /// Called by heartbeat/export code, not the access path. No-op when
-  /// detached or compiled out.
+  /// (stack.depth, stack.resident_bytes, filter.rate, histogram.bins) and
+  /// adds the references processed, passed and dropped since the last
+  /// publication to profiler.accesses, filter.passed and filter.dropped.
+  /// The access path touches no counter; readers call this first. Called
+  /// by heartbeat/export code, not the access path. No-op when detached or
+  /// compiled out.
   void refresh_metrics_gauges() const noexcept;
 
  private:
+  void access_sampled(const Request& req);
   void maybe_degrade();
+  Status restore_state(const std::string& payload);
+  /// Adds the processed/sampled deltas since the last call to the attached
+  /// counters (none while detached) and makes the current counts the new
+  /// baseline.
+  void publish_counters() const noexcept;
 
   KrrProfilerConfig config_;
   SpatialFilter filter_;
@@ -208,6 +224,9 @@ class KrrProfiler {
   std::uint64_t processed_at_rate_change_ = 0;
 #ifdef KRR_METRICS_ENABLED
   obs::PipelineMetrics* metrics_ = nullptr;
+  /// processed_ and sampled_ as of the last publish_counters().
+  mutable std::uint64_t published_processed_ = 0;
+  mutable std::uint64_t published_sampled_ = 0;
 #endif
   double expected_sampled() const noexcept {
     return expected_sampled_base_ +

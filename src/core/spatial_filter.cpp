@@ -1,12 +1,15 @@
 #include "core/spatial_filter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 namespace krr {
 
-SpatialFilter::SpatialFilter(double rate, std::uint64_t modulus) : modulus_(modulus) {
+SpatialFilter::SpatialFilter(double rate, std::uint64_t modulus)
+    : modulus_(modulus),
+      mask_(modulus > 1 && std::has_single_bit(modulus) ? modulus - 1 : 0) {
   if (modulus == 0) throw std::invalid_argument("sampling modulus must be > 0");
   if (!(rate > 0.0) || rate > 1.0) {
     throw std::invalid_argument("sampling rate must be in (0, 1]");

@@ -19,9 +19,12 @@ class SpatialFilter {
   /// always pass. rate == 1 samples everything.
   explicit SpatialFilter(double rate, std::uint64_t modulus = kDefaultModulus);
 
-  /// Whether references to this key are part of the sample.
+  /// Whether references to this key are part of the sample. A power-of-
+  /// two modulus (the default 2^24) reduces the hash with a mask, which
+  /// equals the modulo for such moduli and spares a 64-bit division.
   bool sampled(std::uint64_t key) const noexcept {
-    return (hash64(key) % modulus_) < threshold_;
+    const std::uint64_t h = hash64(key);
+    return (mask_ != 0 ? (h & mask_) : (h % modulus_)) < threshold_;
   }
 
   /// Halves the sampling threshold (the paper's §5 rate adaptation, also
@@ -66,6 +69,8 @@ class SpatialFilter {
 
  private:
   std::uint64_t modulus_;
+  /// modulus_ - 1 when modulus_ is a power of two above 1, else 0 (use %).
+  std::uint64_t mask_;
   std::uint64_t threshold_;
   std::uint64_t halvings_ = 0;
 };

@@ -202,7 +202,7 @@ void TraceReader::open() {
   }
 }
 
-bool TraceReader::next(Request& out) {
+bool TraceReader::next_slow(Request& out) {
   if (state_ == State::kUnopened) open();
   if (state_ == State::kError) return false;
   // Injected transient read faults surface as the same kIoError a flaky

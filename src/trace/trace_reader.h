@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "trace/request.h"
+#include "util/faultpoint.h"
 #include "util/retry.h"
 #include "util/status.h"
 
@@ -101,7 +103,27 @@ class TraceReader {
   /// Delivers the next record. Returns false at end of stream *or* on
   /// error — distinguish via status(): OK means a clean (or policy-
   /// accepted) end.
-  bool next(Request& out);
+  ///
+  /// Inline fast path: a record still buffered from the current verified
+  /// v2 block is handed out here. Everything else (opening, loading and
+  /// checking a block, v1 records, errors, an armed fault plan) goes
+  /// through next_slow(). Skipping the trace.read fault point is exact
+  /// while no plan is armed, because a disarmed should_fire() returns
+  /// false and counts nothing; an armed plan still sees every call. The
+  /// kError test keeps a strict reader that failed inside a block from
+  /// delivering that block's buffered prefix.
+  bool next(Request& out) {
+    if (block_pos_ < block_.size() && state_ != State::kError &&
+        !faults::armed()) {
+      // One 16-byte move, padding included. The member-wise `out = ...`
+      // compiles to two overlapping 8-byte stores, and the caller's next
+      // load of out.key then misses store forwarding (~6 ns per record).
+      std::memcpy(&out, &block_[block_pos_++], sizeof(Request));
+      ++report_.records_read;
+      return true;
+    }
+    return next_slow(out);
+  }
 
   const Status& status() const noexcept { return status_; }
   const TraceReadReport& report() const noexcept { return report_; }
@@ -115,6 +137,7 @@ class TraceReader {
   enum class State { kUnopened, kStreaming, kDone, kError };
 
   void open();
+  bool next_slow(Request& out);
   bool next_v1(Request& out);
   bool next_v2(Request& out);
   bool load_block();

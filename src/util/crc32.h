@@ -6,9 +6,12 @@
 namespace krr {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum used
-/// by the v2 trace format's header and per-block integrity fields. Standard
-/// table-driven implementation; ~1 GB/s, far faster than trace parsing, so
-/// checksumming is never the ingest bottleneck.
+/// by the v2 trace format's header and per-block integrity fields.
+/// Slicing-by-16 tables with a byte-table tail; the checksums are those of
+/// the classic byte-at-a-time table. Measured on a 4-vCPU Xeon host over one
+/// 4096-record (53 KB) v2 block: 5.6-6.6 ns per 13-byte record (~2.1 GB/s),
+/// against 41-44 ns (~0.3 GB/s) for the byte table. It is still the largest
+/// single cost of reading a v2 trace (~6 of ~13 ns per record).
 std::uint32_t crc32(const void* data, std::size_t length,
                     std::uint32_t seed = 0);
 

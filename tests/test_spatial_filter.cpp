@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "core/spatial_filter.h"
+#include "util/hashing.h"
 
 namespace krr {
 namespace {
@@ -62,6 +64,23 @@ TEST(AdaptiveSamplingRate, EnforcesMinimumObjects) {
   EXPECT_DOUBLE_EQ(adaptive_sampling_rate(0.001, 0), 1.0);
   // Custom floor.
   EXPECT_DOUBLE_EQ(adaptive_sampling_rate(0.001, 1000, 100), 0.1);
+}
+
+TEST(SpatialFilter, MaskEqualsModulo) {
+  // Power-of-two moduli take the mask; the miniature simulator's prime
+  // keeps the modulo. Either way the decision is hash64(key) % P < T.
+  std::mt19937_64 rng(99);
+  for (const std::uint64_t modulus :
+       {std::uint64_t{1} << 24, std::uint64_t{1} << 10, std::uint64_t{16777213}}) {
+    for (const double rate : {0.001, 0.3}) {
+      const SpatialFilter f(rate, modulus);
+      for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t key = rng();
+        ASSERT_EQ(f.sampled(key), hash64(key) % modulus < f.threshold())
+            << "modulus " << modulus << " rate " << rate << " key " << key;
+      }
+    }
+  }
 }
 
 }  // namespace

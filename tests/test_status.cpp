@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "util/crc32.h"
 #include "util/status.h"
@@ -99,6 +101,46 @@ TEST(Crc32, DetectsSingleBitFlips) {
           << "byte " << i << " bit " << bit;
       data[i] = static_cast<char>(data[i] ^ (1 << bit));
     }
+  }
+}
+
+// Bit-at-a-time CRC-32, straight from the polynomial: the reference the
+// sliced implementation must match on every length, alignment and seed.
+std::uint32_t bitwise_crc32(const unsigned char* data, std::size_t length,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < length; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseReference) {
+  std::mt19937_64 rng(20240611);
+  std::vector<unsigned char> buffer(4096 + 64);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  // Every short length (each word/tail split) at every offset within a word.
+  for (std::size_t length = 0; length <= 16; ++length) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng());
+      const unsigned char* p = buffer.data() + offset;
+      ASSERT_EQ(crc32(p, length, seed), bitwise_crc32(p, length, seed))
+          << "length " << length << " offset " << offset;
+      ASSERT_EQ(crc32(p, length), bitwise_crc32(p, length, 0))
+          << "length " << length << " offset " << offset;
+    }
+  }
+  // Random (length, offset, seed) triples up to a 4 KiB block.
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t length = rng() % 4097;
+    const std::size_t offset = rng() % 64;
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng());
+    const unsigned char* p = buffer.data() + offset;
+    ASSERT_EQ(crc32(p, length, seed), bitwise_crc32(p, length, seed))
+        << "length " << length << " offset " << offset << " seed " << seed;
   }
 }
 

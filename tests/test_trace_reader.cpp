@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "trace/workload_factory.h"
 #include "trace/zipf.h"
 #include "util/crc32.h"
+#include "util/faultpoint.h"
 
 namespace krr {
 namespace {
@@ -193,6 +195,55 @@ TEST(TraceReaderV2, BadOpByteSkippedAndCounted) {
   auto best = read_trace(best_ss, {.policy = RecoveryPolicy::kBestEffort});
   ASSERT_TRUE(best.is_ok());
   EXPECT_EQ(best->size(), 3u);  // everything before the damaged record
+}
+
+TEST(TraceReaderV2, StrictBadOpInChecksummedBlockDeliversNothingFromIt) {
+  // Block 2 of 2 checksums clean but holds an invalid op byte at its 11th
+  // record. A strict reader delivers block 1, then fails on block 2 and
+  // must hand out none of block 2's records, however often it is called.
+  const auto trace = make_trace(100);
+  std::string bytes = to_v2_bytes(trace, 50);
+  const std::size_t block2 = 28 + 12 + 50 * 13;
+  const std::size_t payload = block2 + 12;
+  bytes[payload + 10 * 13 + 12] = 7;
+  const std::uint32_t crc = crc32(bytes.data() + payload, 50 * 13);
+  for (int i = 0; i < 4; ++i) {
+    bytes[block2 + 8 + i] = static_cast<char>(crc >> (8 * i));
+  }
+
+  std::stringstream ss(bytes);
+  TraceReader reader(ss);
+  std::vector<Request> got;
+  Request r;
+  while (reader.next(r)) got.push_back(r);
+  EXPECT_EQ(reader.status().code(), StatusCode::kBadRecord);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(reader.next(r));
+  EXPECT_EQ(got, std::vector<Request>(trace.begin(), trace.begin() + 50));
+  EXPECT_EQ(reader.report().records_read, 50u);
+}
+
+TEST(TraceReaderV2, FaultPointCountsEveryNextCall) {
+  if (!faults::kFaultInjectionCompiledIn) GTEST_SKIP();
+  struct DisarmOnExit {
+    ~DisarmOnExit() { faults::disarm(); }
+  } disarm_on_exit;
+  // trace.read@hit=N fails the Nth next() call whether N falls mid-block
+  // or on either side of a block boundary (4096-record blocks).
+  const auto trace = make_trace(10000);
+  const std::string bytes = to_v2_bytes(trace, 4096);
+  for (const std::uint64_t n : {1u, 5000u, 4096u, 4097u, 8192u}) {
+    ASSERT_TRUE(faults::arm("trace.read@hit=" + std::to_string(n)).is_ok());
+    std::stringstream ss(bytes);
+    TraceReader reader(ss);
+    std::vector<Request> got;
+    Request r;
+    while (reader.next(r)) got.push_back(r);
+    EXPECT_EQ(reader.status().code(), StatusCode::kIoError) << "hit=" << n;
+    EXPECT_EQ(got.size(), n - 1) << "hit=" << n;
+    EXPECT_EQ(reader.report().records_read, n - 1) << "hit=" << n;
+    EXPECT_EQ(faults::hits(faults::kTraceRead), n) << "hit=" << n;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), trace.begin()));
+  }
 }
 
 TEST(TraceReaderV2, MaxBadRecordsBudgetEnforced) {
